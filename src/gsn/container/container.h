@@ -116,7 +116,8 @@ class Container : public network::NetworkNode {
       /// live peer, so partitions and crashes pace by breaker/failover
       /// instead. Must comfortably exceed tip_interval; 0 disables.
       Timestamp subscription_silence_timeout = 10 * kMicrosPerSecond;
-      /// Byte budget of each subscriber's producer-side replay buffer.
+      /// Memory budget of each subscriber's producer-side replay buffer
+      /// (payloads plus per-entry bookkeeping).
       size_t replay_buffer_bytes = 1 << 20;
       /// Extra directory-publish rounds after a deploy (anti-entropy
       /// re-announcement covers steady state).

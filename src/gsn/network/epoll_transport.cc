@@ -23,6 +23,13 @@ Timestamp SteadyMicros() {
   return telemetry::SteadyClock::Instance()->NowMicros();
 }
 
+/// Disables Nagle: frames and responses are small and latency-bound,
+/// and Nagle would hold a burst's tail until the peer's delayed ACK.
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 void PutU32(std::string* out, uint32_t value) {
   out->push_back(static_cast<char>(value & 0xff));
   out->push_back(static_cast<char>((value >> 8) & 0xff));
@@ -193,7 +200,7 @@ Result<int> EpollTransport::MakeListener(uint16_t port, uint16_t* bound_port) {
     ::close(fd);
     return Status::IoError("bind() failed on port " + std::to_string(port));
   }
-  if (::listen(fd, 511) != 0) {
+  if (::listen(fd, SOMAXCONN) != 0) {
     ::close(fd);
     return Status::IoError("listen() failed");
   }
@@ -463,6 +470,7 @@ EpollTransport::Conn* EpollTransport::DialLocked(const std::string& node_id,
                                  ")"));
     return nullptr;
   }
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(addr_it->second.second);
@@ -674,6 +682,7 @@ void EpollTransport::AcceptReady(int listen_fd, ConnKind kind) {
     }
     accepted_total_.fetch_add(1);
     if (accepted_counter_) accepted_counter_->Increment();
+    SetNoDelay(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->kind = kind;

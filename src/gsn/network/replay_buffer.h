@@ -16,23 +16,32 @@ namespace gsn::network {
 ///
 /// When the byte budget is exceeded the oldest payloads are evicted;
 /// a NACK for an evicted sequence cannot be served and the subscriber
-/// eventually abandons the gap (counted, never silent).
+/// eventually abandons the gap (counted, never silent). The budget
+/// counts each entry's bookkeeping as well as its payload, so it bounds
+/// the memory the buffer really holds.
 ///
 /// Not internally synchronized: the container guards its subscriber
 /// table (and these buffers) with its own mutex.
 class ReplayBuffer {
  public:
+  /// Memory an entry holds beyond its payload bytes: the map node (tree
+  /// links, key, string header) and allocator headers — 88 to 104 bytes
+  /// per entry measured with glibc on x86-64. Stream deliveries are
+  /// ~100-byte payloads, so counting payload bytes alone let a full
+  /// buffer hold about 1.7x its budget.
+  static constexpr size_t kEntryOverheadBytes = 96;
+
   explicit ReplayBuffer(size_t max_bytes = 1 << 20) : max_bytes_(max_bytes) {}
 
   /// Stores the payload for `seq`, evicting oldest entries while over
   /// budget. A payload larger than the whole budget is stored alone
   /// (the buffer never refuses the newest delivery).
   void Put(uint64_t seq, std::string payload) {
-    bytes_ += payload.size();
+    bytes_ += payload.size() + kEntryOverheadBytes;
     entries_[seq] = std::move(payload);
     while (entries_.size() > 1 && bytes_ > max_bytes_) {
       auto oldest = entries_.begin();
-      bytes_ -= oldest->second.size();
+      bytes_ -= oldest->second.size() + kEntryOverheadBytes;
       entries_.erase(oldest);
       ++evicted_;
     }
@@ -45,6 +54,7 @@ class ReplayBuffer {
   }
 
   size_t size() const { return entries_.size(); }
+  /// Bytes charged against the budget: payloads plus per-entry overhead.
   size_t bytes() const { return bytes_; }
   size_t max_bytes() const { return max_bytes_; }
   int64_t evicted_total() const { return evicted_; }

@@ -891,7 +891,7 @@ Schema QualifySchema(const Schema& schema, const std::string& alias) {
 
 Result<Relation> EvalTableRef(const TableResolver* resolver,
                               const TableRef& ref, const RowBinding* outer,
-                              const Expr* where, bool sole_table);
+                              const SelectStmt& stmt, bool sole_table);
 
 // -- Adaptive join machinery ------------------------------------------------
 
@@ -1048,15 +1048,15 @@ Result<Relation> HashJoin(const Evaluator& eval, const TableRef& ref,
 /// over large inputs hash, everything else nested-loops (the adaptive
 /// execution plan of paper §4).
 Result<Relation> EvalJoin(const TableResolver* resolver, const TableRef& ref,
-                          const RowBinding* outer, const Expr* where) {
+                          const RowBinding* outer, const SelectStmt& stmt) {
   // Leaf scans under a join only push qualifier-matched bounds: an
   // unqualified WHERE column could bind to either side.
   GSN_ASSIGN_OR_RETURN(
       Relation left,
-      EvalTableRef(resolver, *ref.left, outer, where, /*sole_table=*/false));
+      EvalTableRef(resolver, *ref.left, outer, stmt, /*sole_table=*/false));
   GSN_ASSIGN_OR_RETURN(
       Relation right,
-      EvalTableRef(resolver, *ref.right, outer, where, /*sole_table=*/false));
+      EvalTableRef(resolver, *ref.right, outer, stmt, /*sole_table=*/false));
   Schema combined;
   for (const Field& f : left.schema().fields()) {
     combined.AddField(f.name, f.type);
@@ -1137,7 +1137,7 @@ Result<Relation> EvalJoin(const TableResolver* resolver, const TableRef& ref,
 
 Result<Relation> EvalTableRef(const TableResolver* resolver,
                               const TableRef& ref, const RowBinding* outer,
-                              const Expr* where, bool sole_table) {
+                              const SelectStmt& stmt, bool sole_table) {
   switch (ref.kind) {
     case TableRef::Kind::kTable: {
       if (resolver == nullptr) {
@@ -1150,9 +1150,11 @@ Result<Relation> EvalTableRef(const TableResolver* resolver,
           ref.alias.empty() ? StrToLower(ref.table_name) : ref.alias;
       // Bounds from the WHERE clause flow into the storage tier, which
       // prunes segment chunks by zone map; the full WHERE still runs
-      // over whatever comes back.
-      const ScanPredicate predicate =
-          ExtractScanPredicate(where, alias, sole_table);
+      // over whatever comes back. The columns the statement references
+      // go along, so storage decodes no chunk the query cannot read.
+      ScanPredicate predicate =
+          ExtractScanPredicate(stmt.where.get(), alias, sole_table);
+      predicate.columns = ReferencedColumns(stmt, alias, ref.table_name);
       ScanStats scan_stats;
       GSN_ASSIGN_OR_RETURN(
           Relation rel,
@@ -1190,7 +1192,7 @@ Result<Relation> EvalTableRef(const TableResolver* resolver,
       return derived;
     }
     case TableRef::Kind::kJoin:
-      return EvalJoin(resolver, ref, outer, where);
+      return EvalJoin(resolver, ref, outer, stmt);
   }
   return Status::Internal("unhandled table ref kind");
 }
@@ -1209,12 +1211,12 @@ Result<Relation> EvalFrom(const TableResolver* resolver,
   const bool sole_table =
       stmt.from.size() == 1 && stmt.from[0]->kind == TableRef::Kind::kTable;
   GSN_ASSIGN_OR_RETURN(Relation acc,
-                       EvalTableRef(resolver, *stmt.from[0], outer,
-                                    stmt.where.get(), sole_table));
+                       EvalTableRef(resolver, *stmt.from[0], outer, stmt,
+                                    sole_table));
   for (size_t i = 1; i < stmt.from.size(); ++i) {
     GSN_ASSIGN_OR_RETURN(Relation next,
-                         EvalTableRef(resolver, *stmt.from[i], outer,
-                                      stmt.where.get(), /*sole_table=*/false));
+                         EvalTableRef(resolver, *stmt.from[i], outer, stmt,
+                                      /*sole_table=*/false));
     Schema combined;
     for (const Field& f : acc.schema().fields()) {
       combined.AddField(f.name, f.type);

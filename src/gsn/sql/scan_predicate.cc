@@ -73,7 +73,83 @@ const char* OpName(ScanBound::Op op) {
   return "?";
 }
 
+/// Walks a statement tree collecting the column names that may bind to
+/// one base-table scan.
+class ColumnCollector {
+ public:
+  ColumnCollector(const std::string& alias, const std::string& table_name)
+      : alias_(StrToLower(alias)), table_(StrToLower(table_name)) {}
+
+  std::optional<std::set<std::string>> Collect(const SelectStmt& stmt) {
+    Statement(stmt);
+    if (all_) return std::nullopt;
+    return std::move(names_);
+  }
+
+ private:
+  bool Matches(const std::string& qualifier) const {
+    if (qualifier.empty()) return true;
+    const std::string q = StrToLower(qualifier);
+    return q == alias_ || q == table_;
+  }
+
+  void Expression(const Expr* e) {
+    if (e == nullptr || all_) return;
+    if (e->kind == ExprKind::kColumnRef && Matches(e->qualifier)) {
+      // The executor also matches an unqualified name against a field's
+      // full `alias.column` name; keep both spellings.
+      const std::string column = StrToLower(e->column);
+      names_.insert(column);
+      const size_t dot = column.rfind('.');
+      if (dot != std::string::npos) names_.insert(column.substr(dot + 1));
+    }
+    for (const auto& child : e->children) Expression(child.get());
+    if (e->subquery) Statement(*e->subquery);
+  }
+
+  void Table(const TableRef* ref) {
+    if (ref == nullptr || all_) return;
+    if (ref->subquery) Statement(*ref->subquery);
+    Table(ref->left.get());
+    Table(ref->right.get());
+    Expression(ref->join_condition.get());
+  }
+
+  void Statement(const SelectStmt& stmt) {
+    for (const SelectItem& item : stmt.items) {
+      if (item.is_star) {
+        if (item.star_qualifier.empty() || Matches(item.star_qualifier)) {
+          all_ = true;
+        }
+      } else {
+        Expression(item.expr.get());
+      }
+    }
+    for (const auto& ref : stmt.from) Table(ref.get());
+    Expression(stmt.where.get());
+    for (const auto& e : stmt.group_by) Expression(e.get());
+    Expression(stmt.having.get());
+    for (const OrderByItem& item : stmt.order_by) Expression(item.expr.get());
+    if (stmt.set_rhs) Statement(*stmt.set_rhs);
+  }
+
+  const std::string alias_;
+  const std::string table_;
+  bool all_ = false;
+  std::set<std::string> names_;
+};
+
 }  // namespace
+
+bool ScanPredicate::NeedsColumn(const std::string& column) const {
+  return !columns.has_value() || columns->count(column) > 0;
+}
+
+std::optional<std::set<std::string>> ReferencedColumns(
+    const SelectStmt& stmt, const std::string& alias,
+    const std::string& table_name) {
+  return ColumnCollector(alias, table_name).Collect(stmt);
+}
 
 std::string ScanBound::ToString() const {
   return column + " " + OpName(op) + " " + value.ToString();

@@ -2,6 +2,8 @@
 #define GSN_SQL_SCAN_PREDICATE_H_
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,13 +28,21 @@ struct ScanBound {
   std::string ToString() const;
 };
 
-/// The conjunction of pushable bounds for one base-table scan. Empty
-/// means "scan everything". Bounds are conservative: storage may
-/// ignore any of them; the executor re-applies the full WHERE.
+/// The conjunction of pushable bounds for one base-table scan, plus
+/// the columns the statement reads. Empty bounds mean "scan every
+/// row". Bounds are conservative: storage may ignore any of them; the
+/// executor re-applies the full WHERE.
 struct ScanPredicate {
   std::vector<ScanBound> bounds;
+  /// Lowercased base-table columns the statement references (see
+  /// ReferencedColumns). nullopt means every column; an empty set
+  /// means none (`count(*)`). Storage may leave a column outside the
+  /// set NULL in the rows it returns — it never reads it.
+  std::optional<std::set<std::string>> columns;
 
   bool empty() const { return bounds.empty(); }
+  /// True unless `columns` leaves out `column` (lowercased).
+  bool NeedsColumn(const std::string& column) const;
   std::string ToString() const;
 };
 
@@ -61,6 +71,17 @@ struct ScanStats {
 /// when nothing is pushable (including `where == nullptr`).
 ScanPredicate ExtractScanPredicate(const Expr* where, const std::string& alias,
                                    bool sole_table);
+
+/// The columns of the base table scanned as `alias` (named
+/// `table_name`) that `stmt` can read: every column reference of the
+/// select list, WHERE, GROUP BY, HAVING, ORDER BY, join conditions and
+/// nested or correlated subqueries that is unqualified or qualified by
+/// `alias` or `table_name`. A conservative superset — a name that binds
+/// elsewhere costs only a decode. nullopt (all columns) when `stmt`
+/// holds `*` or a matching `alias.*` anywhere.
+std::optional<std::set<std::string>> ReferencedColumns(
+    const SelectStmt& stmt, const std::string& alias,
+    const std::string& table_name);
 
 /// True when a chunk with non-null values in [min_value, max_value]
 /// may contain a row satisfying `bound`, under the executor's SQL

@@ -347,15 +347,9 @@ Status SegmentCatalog::Scan(const std::string& table, const Schema& row_schema,
       continue;
     }
     if (stats != nullptr) ++stats->segments_scanned;
-    Result<std::string> contents = ReadLogFile(SegmentPath(meta));
-    if (!contents.ok()) {
-      GSN_LOG(kWarn, "columnar") << "skipping unreadable segment " << SegmentPath(meta)
-                    << ": " << contents.status().ToString();
-      continue;
-    }
     SegmentScanStats seg_stats;
-    Status scanned = ScanSegmentContents(*contents, row_schema, predicate,
-                                         out, &seg_stats);
+    Status scanned = ScanSegmentFile(SegmentPath(meta), row_schema, predicate,
+                                     out, &seg_stats);
     if (!scanned.ok()) {
       GSN_LOG(kWarn, "columnar") << "skipping corrupt segment " << SegmentPath(meta)
                     << ": " << scanned.ToString();

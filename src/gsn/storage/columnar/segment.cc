@@ -1,6 +1,14 @@
 #include "gsn/storage/columnar/segment.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
+#include <deque>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <vector>
@@ -15,7 +23,10 @@ namespace {
 
 constexpr uint8_t kHeaderRecord = 'H';
 constexpr uint8_t kGroupRecord = 'G';
+constexpr uint8_t kChunkRecord = 'C';
 constexpr uint8_t kFooterRecord = 'F';
+/// The format whose chunk data sits inline in the group record.
+constexpr uint32_t kInlineChunkVersion = 1;
 
 // -- varint / zigzag --------------------------------------------------------
 
@@ -204,7 +215,9 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
                        std::vector<Value>* out) {
   size_t pos = 0;
   out->clear();
-  out->reserve(non_null);
+  // Counts come from the file: size the vector by what the data can
+  // hold, not by what it claims.
+  out->reserve(std::min(non_null, data.size()));
   switch (encoding) {
     case ChunkEncoding::kDeltaVarint: {
       int64_t acc = 0;
@@ -243,7 +256,7 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
     case ChunkEncoding::kDictionary: {
       GSN_ASSIGN_OR_RETURN(uint32_t dict_size, Codec::DecodeU32(data, &pos));
       std::vector<std::string> dict;
-      dict.reserve(dict_size);
+      dict.reserve(std::min<size_t>(dict_size, data.size()));
       for (uint32_t i = 0; i < dict_size; ++i) {
         GSN_ASSIGN_OR_RETURN(std::string s, Codec::DecodeString(data, &pos));
         dict.push_back(std::move(s));
@@ -272,7 +285,71 @@ Status DecodeChunkData(ChunkEncoding encoding, DataType kind,
   return Status::OK();
 }
 
-// -- parsed chunk header ----------------------------------------------------
+// -- segment reading --------------------------------------------------------
+
+/// Where a segment's bytes come from: an in-memory image or a file read
+/// with pread at computed offsets. Every read is checked against the
+/// size before a buffer is sized from a length found in the file.
+class SegmentSource {
+ public:
+  explicit SegmentSource(std::string_view contents)
+      : contents_(contents), size_(contents.size()) {}
+  SegmentSource(int fd, uint64_t size) : fd_(fd), size_(size) {}
+
+  uint64_t size() const { return size_; }
+
+  /// `len` bytes at `offset`; `scratch` backs the view for file reads.
+  Result<std::string_view> Read(uint64_t offset, uint64_t len,
+                                std::string* scratch) const {
+    if (offset > size_ || len > size_ - offset) {
+      return Status::IntegrityError("segment record runs past end of file");
+    }
+    if (fd_ < 0) return contents_.substr(offset, len);
+    scratch->resize(len);
+    size_t done = 0;
+    while (done < len) {
+      const ssize_t n = ::pread(fd_, scratch->data() + done, len - done,
+                                static_cast<off_t>(offset + done));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return Status::IoError("short read from segment file");
+      done += static_cast<size_t>(n);
+    }
+    return std::string_view(*scratch);
+  }
+
+  /// Reads and CRC-checks the record at `*offset` whose payload is
+  /// `payload_len` bytes, advancing `*offset` past it.
+  Result<std::string_view> ReadRecordOfLength(uint64_t* offset,
+                                              uint64_t payload_len,
+                                              std::string* scratch) const {
+    GSN_ASSIGN_OR_RETURN(
+        std::string_view record,
+        Read(*offset, payload_len + kLogRecordFramingBytes, scratch));
+    std::vector<std::string_view> payloads;
+    bool torn = false;
+    ScanLogRecords(record, &payloads, &torn);
+    if (torn || payloads.size() != 1) {
+      return Status::IntegrityError("corrupt segment record at offset " +
+                                    std::to_string(*offset));
+    }
+    *offset += record.size();
+    return payloads[0];
+  }
+
+  /// Reads and CRC-checks the record at `*offset`, advancing past it.
+  Result<std::string_view> ReadRecord(uint64_t* offset,
+                                      std::string* scratch) const {
+    GSN_ASSIGN_OR_RETURN(std::string_view header,
+                         Read(*offset, kLogRecordHeaderBytes, scratch));
+    GSN_ASSIGN_OR_RETURN(uint32_t len, LogRecordPayloadLength(header));
+    return ReadRecordOfLength(offset, len, scratch);
+  }
+
+ private:
+  std::string_view contents_;
+  int fd_ = -1;
+  uint64_t size_ = 0;
+};
 
 struct ChunkView {
   ChunkEncoding encoding = ChunkEncoding::kGeneric;
@@ -280,10 +357,48 @@ struct ChunkView {
   uint32_t null_count = 0;
   bool has_zone = false;
   Value zone_min, zone_max;
-  std::string_view data;
+  uint32_t data_len = 0;
+  /// Where the data lives: inside the (verified) group record in
+  /// version 1, in the chunk record at `record_offset` otherwise.
+  std::string_view inline_data;
+  uint64_t record_offset = 0;
 };
 
-Status ParseChunk(std::string_view payload, size_t* pos, ChunkView* out) {
+struct GroupView {
+  uint32_t rows = 0;
+  std::vector<ChunkView> chunks;
+  std::string buffer;  ///< backs the views when the source copies
+};
+
+/// The records a scan walks before decoding anything: header, group
+/// records (chunk headers) and the footer commit marker.
+struct SegmentLayout {
+  SegmentHeader header;
+  std::deque<GroupView> groups;  // deque: views into buffers stay put
+};
+
+Result<SegmentHeader> ParseHeaderPayload(std::string_view payload) {
+  size_t pos = 0;
+  SegmentHeader h;
+  GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
+  if (tag != kHeaderRecord) return Status::IntegrityError("bad segment header tag");
+  GSN_ASSIGN_OR_RETURN(h.version, Codec::DecodeU32(payload, &pos));
+  if (h.version != kSegmentVersion && h.version != kInlineChunkVersion) {
+    return Status::IntegrityError("unsupported segment version " +
+                                  std::to_string(h.version));
+  }
+  GSN_ASSIGN_OR_RETURN(h.table, Codec::DecodeString(payload, &pos));
+  GSN_ASSIGN_OR_RETURN(h.row_schema, Codec::DecodeSchema(payload, &pos));
+  GSN_ASSIGN_OR_RETURN(int64_t row_count, Codec::DecodeI64(payload, &pos));
+  h.row_count = static_cast<uint64_t>(row_count);
+  GSN_ASSIGN_OR_RETURN(h.min_timed, Codec::DecodeI64(payload, &pos));
+  GSN_ASSIGN_OR_RETURN(h.max_timed, Codec::DecodeI64(payload, &pos));
+  GSN_ASSIGN_OR_RETURN(h.group_count, Codec::DecodeU32(payload, &pos));
+  return h;
+}
+
+Status ParseChunkHeader(std::string_view payload, size_t* pos,
+                        ChunkView* out) {
   GSN_ASSIGN_OR_RETURN(uint8_t encoding, GetU8(payload, pos));
   if (encoding > static_cast<uint8_t>(ChunkEncoding::kGeneric)) {
     return Status::IntegrityError("unknown chunk encoding");
@@ -298,12 +413,131 @@ Status ParseChunk(std::string_view payload, size_t* pos, ChunkView* out) {
     GSN_ASSIGN_OR_RETURN(out->zone_min, Codec::DecodeValue(payload, pos));
     GSN_ASSIGN_OR_RETURN(out->zone_max, Codec::DecodeValue(payload, pos));
   }
-  GSN_ASSIGN_OR_RETURN(uint32_t data_len, Codec::DecodeU32(payload, pos));
-  if (*pos + data_len > payload.size()) {
-    return Status::IntegrityError("truncated chunk data");
+  GSN_ASSIGN_OR_RETURN(out->data_len, Codec::DecodeU32(payload, pos));
+  return Status::OK();
+}
+
+Status ParseGroup(std::string_view payload, size_t fields, bool inline_chunks,
+                  GroupView* group) {
+  size_t pos = 0;
+  GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
+  if (tag != kGroupRecord) return Status::IntegrityError("bad group record tag");
+  GSN_ASSIGN_OR_RETURN(group->rows, Codec::DecodeU32(payload, &pos));
+  GSN_ASSIGN_OR_RETURN(uint32_t field_count, Codec::DecodeU32(payload, &pos));
+  if (field_count != fields) {
+    return Status::IntegrityError("group field count mismatch");
   }
-  out->data = payload.substr(*pos, data_len);
-  *pos += data_len;
+  group->chunks.resize(fields);
+  for (ChunkView& chunk : group->chunks) {
+    GSN_RETURN_IF_ERROR(ParseChunkHeader(payload, &pos, &chunk));
+    if (chunk.null_count > group->rows) {
+      return Status::IntegrityError("chunk null count exceeds its rows");
+    }
+    if (!inline_chunks) continue;
+    if (chunk.data_len > payload.size() - pos) {
+      return Status::IntegrityError("truncated chunk data");
+    }
+    chunk.inline_data = payload.substr(pos, chunk.data_len);
+    pos += chunk.data_len;
+  }
+  if (pos != payload.size()) {
+    return Status::IntegrityError("trailing bytes in group record");
+  }
+  return Status::OK();
+}
+
+/// Reads and CRC-checks a version-2 chunk record; returns its data.
+Result<std::string_view> ReadChunkRecord(const SegmentSource& src,
+                                         const ChunkView& chunk,
+                                         std::string* scratch) {
+  uint64_t offset = chunk.record_offset;
+  GSN_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      src.ReadRecordOfLength(&offset, uint64_t{chunk.data_len} + 1, scratch));
+  if (static_cast<uint8_t>(payload[0]) != kChunkRecord) {
+    return Status::IntegrityError("bad chunk record tag");
+  }
+  return payload.substr(1);
+}
+
+/// Walks header, group records and footer, checking the record count
+/// (the footer must close the file right after the last group) and
+/// the commit marker. Chunk records are placed by their headers'
+/// lengths and stepped over; `verify_chunks` reads and CRC-checks
+/// them too (whole-file validation).
+Status ReadLayout(const SegmentSource& src, bool verify_chunks,
+                  SegmentLayout* layout) {
+  uint64_t offset = 0;
+  std::string scratch;
+  GSN_ASSIGN_OR_RETURN(std::string_view head, src.ReadRecord(&offset, &scratch));
+  GSN_ASSIGN_OR_RETURN(layout->header, ParseHeaderPayload(head));
+  const bool inline_chunks = layout->header.version == kInlineChunkVersion;
+  const size_t fields = layout->header.row_schema.size();
+  for (uint32_t g = 0; g < layout->header.group_count; ++g) {
+    GroupView& group = layout->groups.emplace_back();
+    GSN_ASSIGN_OR_RETURN(std::string_view payload,
+                         src.ReadRecord(&offset, &group.buffer));
+    GSN_RETURN_IF_ERROR(ParseGroup(payload, fields, inline_chunks, &group));
+    if (inline_chunks) continue;
+    for (ChunkView& chunk : group.chunks) {
+      chunk.record_offset = offset;
+      if (verify_chunks) {
+        GSN_RETURN_IF_ERROR(ReadChunkRecord(src, chunk, &scratch).status());
+      }
+      offset += uint64_t{chunk.data_len} + 1 + kLogRecordFramingBytes;
+    }
+  }
+  GSN_ASSIGN_OR_RETURN(std::string_view footer,
+                       src.ReadRecord(&offset, &scratch));
+  size_t pos = 0;
+  GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(footer, &pos));
+  if (tag != kFooterRecord) return Status::IntegrityError("missing segment footer");
+  GSN_ASSIGN_OR_RETURN(int64_t rows, Codec::DecodeI64(footer, &pos));
+  if (static_cast<uint64_t>(rows) != layout->header.row_count) {
+    return Status::IntegrityError("segment footer row count mismatch");
+  }
+  GSN_RETURN_IF_ERROR(Codec::DecodeU32(footer, &pos).status());
+  if (offset != src.size()) {
+    return Status::IntegrityError("records after the segment footer");
+  }
+  return Status::OK();
+}
+
+/// Expands one chunk's data (null bitmap + encoded non-null values)
+/// into `column`, one Value per row of the group.
+Status DecodeColumn(const ChunkView& chunk, std::string_view data,
+                    uint32_t rows, std::vector<Value>* scratch,
+                    std::vector<Value>* column) {
+  const size_t non_null = rows - chunk.null_count;
+  if (chunk.null_count == 0) {
+    GSN_RETURN_IF_ERROR(
+        DecodeChunkData(chunk.encoding, chunk.kind, data, non_null, column));
+    if (column->size() != rows) {
+      return Status::IntegrityError("chunk value count mismatch");
+    }
+    return Status::OK();
+  }
+  const size_t bitmap_len = (static_cast<size_t>(rows) + 7) / 8;
+  if (data.size() < bitmap_len) {
+    return Status::IntegrityError("truncated null bitmap");
+  }
+  const std::string_view bitmap = data.substr(0, bitmap_len);
+  GSN_RETURN_IF_ERROR(DecodeChunkData(chunk.encoding, chunk.kind,
+                                      data.substr(bitmap_len), non_null,
+                                      scratch));
+  column->clear();
+  column->reserve(rows);
+  size_t next = 0;
+  for (uint32_t i = 0; i < rows; ++i) {
+    if ((static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1) {
+      column->push_back(Value::Null());
+    } else {
+      if (next >= scratch->size()) {
+        return Status::IntegrityError("chunk value underflow");
+      }
+      column->push_back(std::move((*scratch)[next++]));
+    }
+  }
   return Status::OK();
 }
 
@@ -388,6 +622,7 @@ Result<EncodedSegment> EncodeSegment(const std::string& table,
     group.push_back(static_cast<char>(kGroupRecord));
     Codec::EncodeU32(static_cast<uint32_t>(n), &group);
     Codec::EncodeU32(static_cast<uint32_t>(fields), &group);
+    std::string chunk_records;
     for (size_t f = 0; f < fields; ++f) {
       // Column-wise view of this group's field f.
       std::vector<bool> nulls(n, false);
@@ -415,7 +650,7 @@ Result<EncodedSegment> EncodeSegment(const std::string& table,
         Codec::EncodeValue(zone.min, &group);
         Codec::EncodeValue(zone.max, &group);
       }
-      std::string data;
+      std::string data(1, static_cast<char>(kChunkRecord));
       if (null_count > 0) {
         std::string bitmap((n + 7) / 8, '\0');
         for (size_t i = 0; i < n; ++i) {
@@ -424,11 +659,12 @@ Result<EncodedSegment> EncodeSegment(const std::string& table,
         data += bitmap;
       }
       EncodeChunkData(encoding, kind, values, &data);
-      Codec::EncodeU32(static_cast<uint32_t>(data.size()), &group);
-      group += data;
+      Codec::EncodeU32(static_cast<uint32_t>(data.size() - 1), &group);
+      chunk_records += FrameLogRecord(data);
       ++seg.chunk_count;
     }
     seg.contents += FrameLogRecord(group);
+    seg.contents += chunk_records;
   }
 
   std::string footer;
@@ -440,93 +676,54 @@ Result<EncodedSegment> EncodeSegment(const std::string& table,
 }
 
 Result<SegmentHeader> ParseSegmentHeader(std::string_view contents) {
-  std::vector<std::string_view> payloads;
-  bool torn = false;
-  ScanLogRecords(contents, &payloads, &torn);
-  if (payloads.empty()) return Status::IntegrityError("segment has no header record");
-  std::string_view payload = payloads[0];
-  size_t pos = 0;
-  SegmentHeader h;
-  GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
-  if (tag != kHeaderRecord) return Status::IntegrityError("bad segment header tag");
-  GSN_ASSIGN_OR_RETURN(h.version, Codec::DecodeU32(payload, &pos));
-  if (h.version != kSegmentVersion) {
-    return Status::IntegrityError("unsupported segment version " +
-                            std::to_string(h.version));
-  }
-  GSN_ASSIGN_OR_RETURN(h.table, Codec::DecodeString(payload, &pos));
-  GSN_ASSIGN_OR_RETURN(h.row_schema, Codec::DecodeSchema(payload, &pos));
-  GSN_ASSIGN_OR_RETURN(int64_t row_count, Codec::DecodeI64(payload, &pos));
-  h.row_count = static_cast<uint64_t>(row_count);
-  GSN_ASSIGN_OR_RETURN(h.min_timed, Codec::DecodeI64(payload, &pos));
-  GSN_ASSIGN_OR_RETURN(h.max_timed, Codec::DecodeI64(payload, &pos));
-  GSN_ASSIGN_OR_RETURN(h.group_count, Codec::DecodeU32(payload, &pos));
-  return h;
+  const SegmentSource src(contents);
+  uint64_t offset = 0;
+  std::string scratch;
+  GSN_ASSIGN_OR_RETURN(std::string_view head, src.ReadRecord(&offset, &scratch));
+  return ParseHeaderPayload(head);
 }
 
 bool ValidateSegmentContents(std::string_view contents) {
-  Result<SegmentHeader> header = ParseSegmentHeader(contents);
-  if (!header.ok()) return false;
-  std::vector<std::string_view> payloads;
-  bool torn = false;
-  ScanLogRecords(contents, &payloads, &torn);
-  if (torn) return false;
-  // header + groups + footer
-  if (payloads.size() != static_cast<size_t>(header->group_count) + 2) {
-    return false;
-  }
-  std::string_view footer = payloads.back();
-  size_t pos = 0;
-  Result<uint8_t> tag = GetU8(footer, &pos);
-  if (!tag.ok() || *tag != kFooterRecord) return false;
-  Result<int64_t> rows = Codec::DecodeI64(footer, &pos);
-  if (!rows.ok() || static_cast<uint64_t>(*rows) != header->row_count) {
-    return false;
-  }
-  return Codec::DecodeU32(footer, &pos).ok();
+  SegmentLayout layout;
+  return ReadLayout(SegmentSource(contents), /*verify_chunks=*/true, &layout)
+      .ok();
 }
 
-Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
-                           const sql::ScanPredicate& predicate,
-                           Relation::RowList* out, SegmentScanStats* stats) {
-  GSN_ASSIGN_OR_RETURN(SegmentHeader header, ParseSegmentHeader(contents));
+namespace {
+
+Status ScanSource(const SegmentSource& src, const Schema& row_schema,
+                  const sql::ScanPredicate& predicate, Relation::RowList* out,
+                  SegmentScanStats* stats) {
+  SegmentLayout layout;
+  GSN_RETURN_IF_ERROR(ReadLayout(src, /*verify_chunks=*/false, &layout));
+  const SegmentHeader& header = layout.header;
   if (!(header.row_schema == row_schema)) {
     return Status::IntegrityError("segment schema mismatch for table " +
                             header.table + ": stored " +
                             header.row_schema.ToString() + " vs live " +
                             row_schema.ToString());
   }
-  std::vector<std::string_view> payloads;
-  bool torn = false;
-  ScanLogRecords(contents, &payloads, &torn);
-  if (torn || payloads.size() != static_cast<size_t>(header.group_count) + 2) {
-    return Status::IntegrityError("segment is torn or incomplete");
-  }
+  const bool inline_chunks = header.version == kInlineChunkVersion;
   const auto bounds_by_field = BindBounds(row_schema, predicate);
   const size_t fields = row_schema.size();
+  std::vector<bool> needed(fields);
+  for (size_t f = 0; f < fields; ++f) {
+    needed[f] = predicate.NeedsColumn(StrToLower(row_schema.field(f).name));
+  }
 
-  std::vector<ChunkView> chunks(fields);
+  Relation::RowList rows;
+  std::string scratch;
+  std::vector<Value> decoded;
   std::vector<std::vector<Value>> columns(fields);
-  std::vector<std::vector<Value>> decoded(fields);
-  for (uint32_t g = 0; g < header.group_count; ++g) {
-    std::string_view payload = payloads[1 + g];
-    size_t pos = 0;
-    GSN_ASSIGN_OR_RETURN(uint8_t tag, GetU8(payload, &pos));
-    if (tag != kGroupRecord) return Status::IntegrityError("bad group record tag");
-    GSN_ASSIGN_OR_RETURN(uint32_t n, Codec::DecodeU32(payload, &pos));
-    GSN_ASSIGN_OR_RETURN(uint32_t field_count, Codec::DecodeU32(payload, &pos));
-    if (field_count != fields) {
-      return Status::IntegrityError("group field count mismatch");
-    }
+  for (const GroupView& group : layout.groups) {
     bool prune = false;
-    for (size_t f = 0; f < fields; ++f) {
-      GSN_RETURN_IF_ERROR(ParseChunk(payload, &pos, &chunks[f]));
-      if (prune || !chunks[f].has_zone) continue;
+    for (size_t f = 0; f < fields && !prune; ++f) {
+      const ChunkView& chunk = group.chunks[f];
+      if (!chunk.has_zone) continue;
       auto it = bounds_by_field.find(f);
       if (it == bounds_by_field.end()) continue;
       for (const sql::ScanBound* bound : it->second) {
-        if (!sql::RangeMayMatch(chunks[f].zone_min, chunks[f].zone_max,
-                                *bound)) {
+        if (!sql::RangeMayMatch(chunk.zone_min, chunk.zone_max, *bound)) {
           // No non-null value in this group can satisfy the conjunct,
           // and NULL rows fail it too: the whole group is dead.
           prune = true;
@@ -546,48 +743,59 @@ Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
       continue;
     }
     for (size_t f = 0; f < fields; ++f) {
-      const ChunkView& chunk = chunks[f];
-      const size_t non_null = n - chunk.null_count;
-      std::string_view data = chunk.data;
-      std::string_view bitmap;
-      if (chunk.null_count > 0) {
-        const size_t bitmap_len = (n + 7) / 8;
-        if (data.size() < bitmap_len) {
-          return Status::IntegrityError("truncated null bitmap");
-        }
-        bitmap = data.substr(0, bitmap_len);
-        data = data.substr(bitmap_len);
+      if (!needed[f]) continue;
+      const ChunkView& chunk = group.chunks[f];
+      std::string_view data = chunk.inline_data;
+      if (!inline_chunks) {
+        GSN_ASSIGN_OR_RETURN(data, ReadChunkRecord(src, chunk, &scratch));
       }
       GSN_RETURN_IF_ERROR(
-          DecodeChunkData(chunk.encoding, chunk.kind, data, non_null,
-                          &decoded[f]));
-      std::vector<Value>& column = columns[f];
-      column.clear();
-      column.reserve(n);
-      size_t next = 0;
-      for (uint32_t i = 0; i < n; ++i) {
-        const bool is_null =
-            chunk.null_count > 0 &&
-            (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
-        if (is_null) {
-          column.push_back(Value::Null());
-        } else {
-          if (next >= decoded[f].size()) {
-            return Status::IntegrityError("chunk value underflow");
-          }
-          column.push_back(std::move(decoded[f][next++]));
-        }
-      }
+          DecodeColumn(chunk, data, group.rows, &decoded, &columns[f]));
+      if (stats != nullptr) ++stats->chunks_decoded;
     }
-    for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t i = 0; i < group.rows; ++i) {
       Relation::Row row;
       row.reserve(fields);
-      for (size_t f = 0; f < fields; ++f) row.push_back(columns[f][i]);
-      out->push_back(Relation::MakeRow(std::move(row)));
+      for (size_t f = 0; f < fields; ++f) {
+        row.push_back(needed[f] ? std::move(columns[f][i]) : Value::Null());
+      }
+      rows.push_back(Relation::MakeRow(std::move(row)));
     }
-    if (stats != nullptr) stats->rows_decoded += n;
+    if (stats != nullptr) stats->rows_decoded += group.rows;
   }
+  out->insert(out->end(), std::make_move_iterator(rows.begin()),
+              std::make_move_iterator(rows.end()));
   return Status::OK();
+}
+
+}  // namespace
+
+Status ScanSegmentContents(std::string_view contents, const Schema& row_schema,
+                           const sql::ScanPredicate& predicate,
+                           Relation::RowList* out, SegmentScanStats* stats) {
+  return ScanSource(SegmentSource(contents), row_schema, predicate, out,
+                    stats);
+}
+
+Status ScanSegmentFile(const std::string& path, const Schema& row_schema,
+                       const sql::ScanPredicate& predicate,
+                       Relation::RowList* out, SegmentScanStats* stats) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open segment " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st {};
+  Status status = Status::OK();
+  if (::fstat(fd, &st) != 0) {
+    status = Status::IoError("cannot stat segment " + path + ": " +
+                             std::strerror(errno));
+  } else {
+    status = ScanSource(SegmentSource(fd, static_cast<uint64_t>(st.st_size)),
+                        row_schema, predicate, out, stats);
+  }
+  ::close(fd);
+  return status;
 }
 
 }  // namespace gsn::storage::columnar

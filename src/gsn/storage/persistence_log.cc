@@ -1,5 +1,7 @@
 #include "gsn/storage/persistence_log.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -13,16 +15,32 @@ namespace gsn::storage {
 namespace {
 constexpr uint8_t kRecordMagic = 0xA7;
 
-std::array<uint32_t, 256> BuildCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables: table 0 is the classic bytewise table; table k
+/// maps byte i to its CRC followed by k zero bytes, so eight lookups
+/// fold eight input bytes per step.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 Status FlushAndFsync(std::FILE* file, const std::string& path) {
@@ -38,11 +56,19 @@ Status FlushAndFsync(std::FILE* file, const std::string& path) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  static const std::array<uint32_t, 256> kTable = BuildCrcTable();
+  static const CrcTables kTables = BuildCrcTables();
   uint32_t crc = 0xFFFFFFFFu;
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ crc;
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -63,50 +89,65 @@ std::string FrameLogRecord(std::string_view payload) {
   return record;
 }
 
+Result<uint32_t> LogRecordPayloadLength(std::string_view header) {
+  if (header.size() < kLogRecordHeaderBytes ||
+      static_cast<uint8_t>(header[0]) != kRecordMagic) {
+    return Status::IntegrityError("bad log record header");
+  }
+  return LoadLe32(reinterpret_cast<const uint8_t*>(header.data()) + 1);
+}
+
 size_t ScanLogRecords(std::string_view contents,
                       std::vector<std::string_view>* payloads,
                       bool* torn_tail) {
   if (torn_tail != nullptr) *torn_tail = false;
   size_t pos = 0;
   while (pos < contents.size()) {
-    const size_t header_end = pos + 5;
-    if (header_end > contents.size()) break;  // torn header
-    if (static_cast<uint8_t>(contents[pos]) != kRecordMagic) break;
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(static_cast<uint8_t>(contents[pos + 1 + i]))
-             << (8 * i);
+    // A torn header or a wrong magic ends the valid prefix.
+    Result<uint32_t> len = LogRecordPayloadLength(contents.substr(pos));
+    if (!len.ok()) break;
+    const size_t payload_start = pos + kLogRecordHeaderBytes;
+    if (contents.size() - payload_start < static_cast<size_t>(*len) + 4) {
+      break;  // torn tail (or a length so corrupt it runs past the end)
     }
-    const size_t payload_start = header_end;
-    const size_t record_end = payload_start + len + 4;
-    if (record_end > contents.size() || record_end < payload_start) {
-      break;  // torn tail (or a length so corrupt it overflows)
-    }
-    uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored_crc |= static_cast<uint32_t>(
-                        static_cast<uint8_t>(contents[payload_start + len + i]))
-                    << (8 * i);
-    }
-    const std::string_view payload = contents.substr(payload_start, len);
+    const std::string_view payload = contents.substr(payload_start, *len);
+    const uint32_t stored_crc = LoadLe32(
+        reinterpret_cast<const uint8_t*>(payload.data() + payload.size()));
     if (Crc32(payload.data(), payload.size()) != stored_crc) break;
     if (payloads != nullptr) payloads->push_back(payload);
-    pos = record_end;
+    pos = payload_start + *len + 4;
   }
   if (pos < contents.size() && torn_tail != nullptr) *torn_tail = true;
   return pos;
 }
 
 Result<std::string> ReadLogFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::string();  // first boot: empty history
-  std::string contents;
-  char buf[64 * 1024];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, n);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::string();  // first boot: empty history
+  // One read sized from the file's size; the spare byte lets a file
+  // that grew since fstat keep reading, and a short read just ends.
+  struct stat st {};
+  const size_t expected =
+      ::fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<size_t>(st.st_size)
+                                              : 0;
+  std::string contents(expected + 1, '\0');
+  size_t filled = 0;
+  for (;;) {
+    if (filled == contents.size()) contents.resize(contents.size() * 2);
+    const ssize_t n =
+        ::read(fd, contents.data() + filled, contents.size() - filled);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      const int err = errno;
+      ::close(fd);
+      return Status::IoError("read failed for " + path + ": " +
+                             std::strerror(err));
+    }
+    if (n == 0) break;
+    filled += static_cast<size_t>(n);
   }
-  std::fclose(f);
+  ::close(fd);
+  contents.resize(filled);
   return contents;
 }
 

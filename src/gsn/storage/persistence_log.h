@@ -81,6 +81,16 @@ uint32_t Crc32(const void* data, size_t len);
 /// Frames one payload as magic:u8 len:u32 payload crc32:u32.
 std::string FrameLogRecord(std::string_view payload);
 
+/// Bytes a frame adds before a payload (magic + length) and in all
+/// (plus the trailing CRC).
+inline constexpr size_t kLogRecordHeaderBytes = 5;
+inline constexpr size_t kLogRecordFramingBytes = 9;
+
+/// The payload length a record's first kLogRecordHeaderBytes bytes
+/// declare; IntegrityError when the magic is wrong. Lets a reader that
+/// fetches records one at a time size a record before reading it.
+Result<uint32_t> LogRecordPayloadLength(std::string_view header);
+
 /// Scans `contents` for intact records, appending each payload to
 /// `payloads`. Returns the byte length of the valid prefix; anything
 /// past it is a torn or corrupt tail (`torn_tail` is set when the

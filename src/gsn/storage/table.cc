@@ -6,6 +6,53 @@
 #include "gsn/util/logging.h"
 
 namespace gsn::storage {
+namespace {
+
+bool IsLowerBound(sql::ScanBound::Op op) {
+  return op == sql::ScanBound::Op::kGreater ||
+         op == sql::ScanBound::Op::kGreaterEq;
+}
+
+/// The bounds of `predicate` on `timed`, each one-sided: over rows in
+/// timed order a lower bound can hold only on a suffix and an upper
+/// bound only on a prefix. `=` splits into `>=` and `<=`.
+std::vector<sql::ScanBound> OneSidedTimedBounds(
+    const sql::ScanPredicate& predicate, const std::string& timed) {
+  std::vector<sql::ScanBound> out;
+  for (const sql::ScanBound& bound : predicate.bounds) {
+    if (bound.column != timed) continue;
+    if (bound.op != sql::ScanBound::Op::kEq) {
+      out.push_back(bound);
+      continue;
+    }
+    out.push_back({bound.column, sql::ScanBound::Op::kGreaterEq, bound.value});
+    out.push_back({bound.column, sql::ScanBound::Op::kLessEq, bound.value});
+  }
+  return out;
+}
+
+/// Narrows timed-ordered [*first, *last) to the rows that may satisfy
+/// every bound. Each row is probed with the executor's own comparison
+/// (RangeMayMatch over [t, t]), so int and timestamp literals keep
+/// their WHERE semantics; only rows WHERE must drop are cut.
+template <typename It, typename TimedOf>
+void NarrowToTimedBounds(const std::vector<sql::ScanBound>& bounds,
+                         TimedOf timed_of, It* first, It* last) {
+  for (const sql::ScanBound& bound : bounds) {
+    const auto may_match = [&](const auto& row) {
+      const Value& t = timed_of(row);
+      return sql::RangeMayMatch(t, t, bound);
+    };
+    if (IsLowerBound(bound.op)) {
+      *first = std::partition_point(
+          *first, *last, [&](const auto& row) { return !may_match(row); });
+    } else {
+      *last = std::partition_point(*first, *last, may_match);
+    }
+  }
+}
+
+}  // namespace
 
 Table::Table(std::string name, Schema element_schema, WindowSpec retention)
     : name_(std::move(name)),
@@ -48,6 +95,10 @@ Status Table::InsertBatch(const std::vector<StreamElement>& elements) {
 void Table::EvictLocked(Timestamp now) {
   const auto evict_front = [this] {
     if (capture_evicted_) {
+      if (!pending_evicted_.empty() &&
+          rows_.front().timed < PendingTimed(pending_evicted_.size() - 1)) {
+        pending_sorted_ = false;
+      }
       pending_evicted_.push_back(std::move(rows_.front().row));
       while (pending_evicted_.size() > max_pending_rows_) {
         pending_evicted_.pop_front();
@@ -129,6 +180,7 @@ Relation::RowList Table::TakeEvicted() {
   std::lock_guard<std::mutex> lock(mu_);
   Relation::RowList out(pending_evicted_.begin(), pending_evicted_.end());
   pending_evicted_.clear();
+  pending_sorted_ = true;
   return out;
 }
 
@@ -140,6 +192,15 @@ void Table::RestoreEvicted(Relation::RowList rows) {
     pending_evicted_.pop_front();
     ++pending_dropped_;
   }
+  pending_sorted_ = true;
+  for (size_t i = 1; i < pending_evicted_.size() && pending_sorted_; ++i) {
+    pending_sorted_ = PendingTimed(i - 1) <= PendingTimed(i);
+  }
+}
+
+Timestamp Table::PendingTimed(size_t i) const {
+  const Value& timed = (*pending_evicted_[i])[0];
+  return timed.is_timestamp() ? timed.timestamp_value() : 0;
 }
 
 Relation::RowList Table::PendingEvictedRows() const {
@@ -152,6 +213,7 @@ void Table::DropPendingPrefix(size_t n) {
   n = std::min(n, pending_evicted_.size());
   pending_evicted_.erase(pending_evicted_.begin(),
                          pending_evicted_.begin() + static_cast<long>(n));
+  if (pending_evicted_.empty()) pending_sorted_ = true;
 }
 
 uint64_t Table::pending_dropped() const {
@@ -174,13 +236,36 @@ Relation Table::ScanUnified(const columnar::SegmentCatalog* catalog,
                                 << scanned.ToString();
     }
   }
+  const std::vector<sql::ScanBound> timed_bounds =
+      OneSidedTimedBounds(predicate, StrToLower(row_schema_.field(0).name));
   std::lock_guard<std::mutex> lock(mu_);
-  if (stats != nullptr) {
-    stats->pending_rows += static_cast<int64_t>(pending_evicted_.size());
-    stats->memory_rows += static_cast<int64_t>(rows_.size());
+  // While a tier is timed-ordered, a `timed` bound trims it to one
+  // contiguous range by binary search; otherwise every row is copied
+  // and WHERE drops the misses.
+  auto pending_first = pending_evicted_.begin();
+  auto pending_last = pending_evicted_.end();
+  if (pending_sorted_) {
+    NarrowToTimedBounds(
+        timed_bounds,
+        [](const Relation::SharedRow& row) -> const Value& { return (*row)[0]; },
+        &pending_first, &pending_last);
   }
-  rows.insert(rows.end(), pending_evicted_.begin(), pending_evicted_.end());
-  for (const Entry& e : rows_) rows.push_back(e.row);
+  auto live_first = rows_.begin();
+  auto live_last = rows_.end();
+  if (sorted_) {
+    NarrowToTimedBounds(
+        timed_bounds,
+        [](const Entry& e) -> const Value& { return (*e.row)[0]; },
+        &live_first, &live_last);
+  }
+  if (stats != nullptr) {
+    stats->pending_rows += pending_last - pending_first;
+    stats->memory_rows += live_last - live_first;
+  }
+  rows.reserve(rows.size() + static_cast<size_t>(pending_last - pending_first) +
+               static_cast<size_t>(live_last - live_first));
+  rows.insert(rows.end(), pending_first, pending_last);
+  for (auto it = live_first; it != live_last; ++it) rows.push_back(it->row);
   return Relation(row_schema_, std::move(rows));
 }
 
@@ -200,6 +285,7 @@ void Table::Clear() {
   pending_evicted_.clear();
   approx_bytes_ = 0;
   sorted_ = true;
+  pending_sorted_ = true;
 }
 
 Result<Table*> TableManager::CreateTable(const std::string& name,

@@ -88,9 +88,11 @@ class Table {
   uint64_t pending_dropped() const;
 
   /// One relation over all three tiers, oldest first: `catalog`'s
-  /// segments for this table (zone-map pruned by `predicate`), then
-  /// the pending evicted rows, then the live window. `catalog` may be
-  /// null and `stats` may be null.
+  /// segments for this table (zone-map pruned and column-projected by
+  /// `predicate`), then the pending evicted rows, then the live window.
+  /// A bound on `timed` trims the pending and live tiers by binary
+  /// search while they are timed-ordered. `catalog` may be null and
+  /// `stats` may be null.
   Relation ScanUnified(const columnar::SegmentCatalog* catalog,
                        const sql::ScanPredicate& predicate,
                        sql::ScanStats* stats) const;
@@ -109,6 +111,8 @@ class Table {
 
   Status InsertLocked(const StreamElement& element);
   void EvictLocked(Timestamp now);
+  /// `timed` of the i-th pending row (mu_ held).
+  Timestamp PendingTimed(size_t i) const;
 
   const std::string name_;
   const Schema element_schema_;
@@ -125,6 +129,8 @@ class Table {
   bool capture_evicted_ = false;
   size_t max_pending_rows_ = 0;
   std::deque<Relation::SharedRow> pending_evicted_;
+  /// True while pending_evicted_ is non-decreasing in timed.
+  bool pending_sorted_ = true;
   uint64_t pending_dropped_ = 0;
 };
 

@@ -3,9 +3,13 @@
 // EINTR/EAGAIN storms, short writes, ECONNRESET mid-frame, refused and
 // stalled connects, EMFILE on accept — and the transport must keep its
 // contract: frames either arrive intact or the failure is surfaced,
-// counted, and redialed with backoff.
+// counted, and redialed with backoff. The same seam exposes the fds of
+// live links, so the socket options each link carries are checked too.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <chrono>
 #include <condition_variable>
@@ -88,6 +92,78 @@ bool WaitUntil(const std::function<bool()>& predicate,
     std::this_thread::sleep_for(milliseconds(2));
   }
   return predicate();
+}
+
+/// Real syscalls that remember the fds of every dialed and accepted
+/// socket, so a test can inspect their options.
+class FdRecordingSocketOps : public SocketOps {
+ public:
+  int Connect(int fd, const sockaddr* addr, socklen_t len) override {
+    Record(&dialed_, fd);
+    return SocketOps::Connect(fd, addr, len);
+  }
+  int Accept4(int fd, sockaddr* addr, socklen_t* len, int flags) override {
+    const int accepted = SocketOps::Accept4(fd, addr, len, flags);
+    if (accepted >= 0) Record(&accepted_, accepted);
+    return accepted;
+  }
+  std::vector<int> dialed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return dialed_;
+  }
+  std::vector<int> accepted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return accepted_;
+  }
+
+ private:
+  void Record(std::vector<int>* fds, int fd) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fds->push_back(fd);
+  }
+
+  mutable std::mutex mu_;
+  std::vector<int> dialed_;
+  std::vector<int> accepted_;
+};
+
+int NoDelayOption(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+// Small peer frames must not wait for Nagle: both ends of a peer link
+// run with TCP_NODELAY.
+TEST(EpollTransportSocketTest, PeerLinksSetNoDelayOnBothEnds) {
+  FdRecordingSocketOps ops;
+  EpollTransport::Options options_a;
+  options_a.socket_ops = &ops;
+  EpollTransport::Options options_b;
+  options_b.socket_ops = &ops;
+  EpollTransport a(std::move(options_a));
+  EpollTransport b(std::move(options_b));
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+  ASSERT_TRUE(b.Send(0, "node-b", "node-a", "t", "hello").ok());
+  ASSERT_TRUE(node_a.WaitForCount(1));
+
+  // The link is up and idle: both fds are still open.
+  const std::vector<int> dialed = ops.dialed();
+  const std::vector<int> accepted = ops.accepted();
+  ASSERT_EQ(dialed.size(), 1u);
+  ASSERT_EQ(accepted.size(), 1u);
+  EXPECT_EQ(NoDelayOption(dialed[0]), 1);
+  EXPECT_EQ(NoDelayOption(accepted[0]), 1);
+  a.Stop();
+  b.Stop();
 }
 
 // A storm of injected EINTR/EAGAIN on both read and write plus short

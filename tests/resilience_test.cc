@@ -197,21 +197,23 @@ TEST(ReplayBufferTest, StoresAndServesBySequence) {
   EXPECT_EQ(*buffer.Get(2), "two");
   EXPECT_EQ(buffer.Get(3), nullptr);
   EXPECT_EQ(buffer.size(), 2u);
-  EXPECT_EQ(buffer.bytes(), 6u);
+  EXPECT_EQ(buffer.bytes(), 6u + 2 * ReplayBuffer::kEntryOverheadBytes);
   EXPECT_EQ(buffer.oldest_seq(), 1u);
   EXPECT_EQ(buffer.newest_seq(), 2u);
 }
 
 TEST(ReplayBufferTest, EvictsOldestWhenOverBudget) {
-  ReplayBuffer buffer(10);
-  buffer.Put(1, "aaaa");  // 4 bytes
-  buffer.Put(2, "bbbb");  // 8 bytes total
+  // Room for two 4-byte entries and their bookkeeping, not three.
+  const size_t budget = 10 + 2 * ReplayBuffer::kEntryOverheadBytes;
+  ReplayBuffer buffer(budget);
+  buffer.Put(1, "aaaa");  // 4 payload bytes
+  buffer.Put(2, "bbbb");  // 8 total
   buffer.Put(3, "cccc");  // 12 -> evict seq 1
   EXPECT_EQ(buffer.Get(1), nullptr);
   EXPECT_NE(buffer.Get(2), nullptr);
   EXPECT_NE(buffer.Get(3), nullptr);
   EXPECT_EQ(buffer.evicted_total(), 1);
-  EXPECT_LE(buffer.bytes(), 10u);
+  EXPECT_LE(buffer.bytes(), budget);
 }
 
 TEST(ReplayBufferTest, NeverEvictsTheOnlyEntry) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "gsn/sql/executor.h"
 #include "gsn/sql/parser.h"
@@ -464,6 +468,88 @@ TEST(EvalBinaryTest, TimestampPlusIntIsTimestamp) {
 TEST(EvalBinaryTest, IncomparableTypesError) {
   EXPECT_FALSE(
       EvalBinaryValues(BinaryOp::kLess, Value::Int(1), Value::String("a")).ok());
+}
+
+/// Serves the fixture tables and records the column set each base-table
+/// scan hands to storage.
+class ProjectionRecorder : public TableResolver {
+ public:
+  using Columns = std::optional<std::set<std::string>>;
+
+  Result<Relation> GetTable(const std::string& name) const override {
+    return base_.GetTable(name);
+  }
+  Result<Relation> GetTableFiltered(const std::string& name,
+                                    const ScanPredicate& predicate,
+                                    ScanStats* stats) const override {
+    (void)stats;
+    scans_.emplace_back(name, predicate.columns);
+    return base_.GetTable(name);
+  }
+
+  /// Runs `sql` and returns the column set of every scan, in order.
+  std::vector<std::pair<std::string, Columns>> Scans(const std::string& sql) {
+    scans_.clear();
+    auto result = Executor(this).Query(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    return scans_;
+  }
+
+ private:
+  MapResolver base_ = MakeFixture();
+  mutable std::vector<std::pair<std::string, Columns>> scans_;
+};
+
+TEST(ScanProjectionTest, StatementColumnsReachTheResolver) {
+  using Columns = ProjectionRecorder::Columns;
+  using Set = std::set<std::string>;
+  ProjectionRecorder recorder;
+
+  // Select list, WHERE, GROUP BY, HAVING and ORDER BY all count.
+  auto scans = recorder.Scans(
+      "select node, avg(temp) from readings where light > 50 "
+      "group by node having max(timed) > 0 order by node");
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(scans[0].second, Columns(Set{"node", "temp", "light", "timed"}));
+
+  // count(*) needs no column; `*` and a matching `alias.*` need all.
+  EXPECT_EQ(recorder.Scans("select count(*) from readings")[0].second,
+            Columns(Set{}));
+  EXPECT_EQ(recorder.Scans("select * from readings")[0].second, Columns());
+  EXPECT_EQ(recorder.Scans("select r.* from readings r")[0].second, Columns());
+
+  // Join: each side gets the columns qualified by its alias, plus every
+  // unqualified name (it could bind to either side).
+  scans = recorder.Scans(
+      "select r.temp, location from readings r join nodes n "
+      "on r.node = n.node");
+  ASSERT_EQ(scans.size(), 2u);
+  EXPECT_EQ(scans[0].second, Columns(Set{"temp", "node", "location"}));
+  EXPECT_EQ(scans[1].second, Columns(Set{"node", "location"}));
+  // `n.*` reads all of nodes, not of readings.
+  scans = recorder.Scans(
+      "select n.* from readings r join nodes n on r.node = n.node");
+  ASSERT_EQ(scans.size(), 2u);
+  EXPECT_EQ(scans[0].second, Columns(Set{"node"}));
+  EXPECT_EQ(scans[1].second, Columns());
+
+  // A correlated subquery's reference to the outer table counts for
+  // the outer scan.
+  scans = recorder.Scans(
+      "select node from nodes n where exists (select 1 from readings r "
+      "where r.node = n.node and r.light > 100)");
+  ASSERT_GE(scans.size(), 2u);
+  EXPECT_EQ(scans[0].first, "nodes");
+  EXPECT_EQ(scans[0].second, Columns(Set{"node"}));
+  EXPECT_EQ(scans[1].first, "readings");
+  EXPECT_EQ(scans[1].second, Columns(Set{"node", "light"}));
+  scans = recorder.Scans(
+      "select location from nodes n where 25 < (select max(temp) from "
+      "readings r where r.node = n.node)");
+  ASSERT_GE(scans.size(), 1u);
+  // The subquery's unqualified `temp` could bind to the outer table:
+  // the set stays a superset.
+  EXPECT_EQ(scans[0].second, Columns(Set{"location", "node", "temp"}));
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "gsn/storage/persistence_log.h"
 #include "gsn/storage/table.h"
@@ -208,6 +211,78 @@ TEST(TableTest, ByteAccounting) {
   EXPECT_GT(t.ApproximateBytes(), 0u);
   t.Clear();
   EXPECT_EQ(t.ApproximateBytes(), 0u);
+}
+
+/// The `timed` values of `rel` in order.
+std::vector<Timestamp> TimedColumn(const Relation& rel) {
+  std::vector<Timestamp> out;
+  for (size_t i = 0; i < rel.NumRows(); ++i) {
+    out.push_back(rel.row(i)[0].timestamp_value());
+  }
+  return out;
+}
+
+TEST(TableTest, TimedBoundTrimsSortedTiersExactlyIncludingTies) {
+  // Ties at 200 and 400 straddle the pending/live seam: with a 4-row
+  // window, 100 200 200 200 sit in the pending tier and 300 400 400
+  // 500 in the live one.
+  const std::vector<Timestamp> stamps = {100, 200, 200, 200,
+                                         300, 400, 400, 500};
+  Table t("s1", OneIntSchema(), Count(4));
+  t.EnableHistoryCapture(100);
+  for (size_t i = 0; i < stamps.size(); ++i) {
+    ASSERT_TRUE(t.Insert(Elem(stamps[i], static_cast<int>(i))).ok());
+  }
+  ASSERT_EQ(t.PendingEvictedRows().size(), 4u);
+
+  using Op = sql::ScanBound::Op;
+  for (const Op op : {Op::kEq, Op::kLess, Op::kLessEq, Op::kGreater,
+                      Op::kGreaterEq}) {
+    for (const Timestamp v : {50, 100, 200, 250, 300, 400, 500, 600}) {
+      // Int and timestamp literals must trim alike.
+      for (const Value literal : {Value::Int(v), Value::TimestampVal(v)}) {
+        sql::ScanPredicate predicate;
+        predicate.bounds.push_back({"timed", op, literal});
+        std::vector<Timestamp> expected;
+        for (const Timestamp ts : stamps) {
+          const bool keep = op == Op::kEq        ? ts == v
+                            : op == Op::kLess    ? ts < v
+                            : op == Op::kLessEq  ? ts <= v
+                            : op == Op::kGreater ? ts > v
+                                                 : ts >= v;
+          if (keep) expected.push_back(ts);
+        }
+        sql::ScanStats stats;
+        const Relation rel = t.ScanUnified(nullptr, predicate, &stats);
+        EXPECT_EQ(TimedColumn(rel), expected)
+            << predicate.ToString() << " literal " << literal.ToString();
+        EXPECT_EQ(stats.pending_rows + stats.memory_rows,
+                  static_cast<int64_t>(expected.size()));
+      }
+    }
+  }
+
+  // Two bounds narrow to their intersection; bounds on other columns
+  // are left to WHERE.
+  sql::ScanPredicate range;
+  range.bounds.push_back({"timed", Op::kGreaterEq, Value::Int(200)});
+  range.bounds.push_back({"timed", Op::kLess, Value::Int(400)});
+  range.bounds.push_back({"v", Op::kEq, Value::Int(0)});
+  EXPECT_EQ(TimedColumn(t.ScanUnified(nullptr, range, nullptr)),
+            (std::vector<Timestamp>{200, 200, 200, 300}));
+}
+
+TEST(TableTest, TimedBoundFallsBackToFullCopyWhenOutOfOrder) {
+  Table t("s1", OneIntSchema(), Count(10));
+  for (const Timestamp ts : {100, 300, 200, 400}) {
+    ASSERT_TRUE(t.Insert(Elem(ts, 0)).ok());
+  }
+  sql::ScanPredicate predicate;
+  predicate.bounds.push_back(
+      {"timed", sql::ScanBound::Op::kGreater, Value::Int(250)});
+  // Unsorted: nothing is trimmed; WHERE drops the misses.
+  EXPECT_EQ(TimedColumn(t.ScanUnified(nullptr, predicate, nullptr)),
+            (std::vector<Timestamp>{100, 300, 200, 400}));
 }
 
 // ----------------------------------------------------------- TableManager
@@ -461,6 +536,65 @@ TEST(Crc32Test, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+/// The textbook one-byte-at-a-time CRC-32, the reference the sliced
+/// implementation must match bit for bit.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..72 crosses the 8-byte stride and its tail; every
+  // start offset 0..7 makes the wide loads unaligned.
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  std::vector<uint8_t> buffer(8 + 72);
+  for (int round = 0; round < 4; ++round) {
+    for (uint8_t& byte : buffer) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      byte = static_cast<uint8_t>(state >> 56);
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 72; ++len) {
+        const uint8_t* p = buffer.data() + offset;
+        ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len))
+            << "round " << round << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(ReadLogFileTest, ReadsWholeFileAndMissingFileIsEmpty) {
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("gsn_readlog_" + std::to_string(::getpid())))
+                               .string();
+  std::filesystem::remove(path);
+  auto missing = ReadLogFile(path);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_TRUE(missing->empty());
+
+  // Larger than any fixed read buffer, with bytes that are not text.
+  std::string contents(300 * 1024 + 7, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>(i * 131 + (i >> 9));
+  }
+  ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
+  auto read = ReadLogFile(path);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, contents);
+
+  ASSERT_TRUE(WriteFileAtomic(path, "").ok());
+  auto empty = ReadLogFile(path);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  std::filesystem::remove(path);
 }
 
 }  // namespace
